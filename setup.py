@@ -1,10 +1,10 @@
 """Legacy setup shim.
 
-The execution environment has no network access and no ``wheel``
-package, so PEP 660 editable installs (which build an editable wheel)
-fail. Keeping a ``setup.py`` lets ``pip install -e . --no-build-isolation``
-fall back to ``setup.py develop``, which works fully offline.
-All project metadata lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``. pip's editable install
+builds an editable wheel, which on setuptools older than 70.1 needs the
+``wheel`` package. Where that is missing and nothing can be downloaded,
+this shim keeps ``python setup.py develop --no-deps`` available as a
+fully offline editable install.
 """
 
 from setuptools import setup

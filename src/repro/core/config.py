@@ -54,12 +54,6 @@ class PlannerConfig:
         Per-edge ``Delta(e)`` pre-computation: ``"exact"`` re-estimates
         each extended graph; ``"sketch"`` uses the low-rank ``e^A`` sketch
         (fast mode, see :mod:`repro.spectral.sketch`).
-    batch_eval:
-        Score all feasible extensions of an expansion round through the
-        batched kernel (:mod:`repro.spectral.batch`) — one shared Lanczos
-        recurrence per round. ``False`` keeps the sequential
-        per-extension reference path, preserved forever as the
-        differential oracle for the kernel.
     allow_loop:
         Permit the final edge to close a one-way loop (paper footnote 4).
     record_every:
@@ -81,7 +75,6 @@ class PlannerConfig:
     n_probes: int = 50
     lanczos_steps: int = 10
     increment_mode: str = "exact"
-    batch_eval: bool = True
     allow_loop: bool = True
     record_every: int = 100
     seed: int = 0

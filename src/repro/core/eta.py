@@ -194,9 +194,7 @@ class ExpansionEngine:
         tuples; this evaluation (one connectivity estimate per neighbor
         for ETA) is exactly the paper's Bottleneck 1. Feasibility is
         checked first, then the surviving extensions of *both* sides are
-        scored in one ``extension_scores`` batch (``batch_eval=True``) or
-        through the sequential reference loop (``batch_eval=False``, the
-        differential oracle's ground truth).
+        scored in one ``extension_scores`` batch.
         """
         cfg = self.config
         feasible: list[tuple[str, int, int, int]] = []
@@ -222,14 +220,7 @@ class ExpansionEngine:
                 feasible.append((side, edge_index, new_stop, tinc))
         if not feasible:
             return []
-        if cfg.batch_eval:
-            scores = self.strategy.extension_scores(
-                cand, [f[1] for f in feasible]
-            )
-        else:
-            scores = [
-                self.strategy.extension_score(cand, f[1]) for f in feasible
-            ]
+        scores = self.strategy.extension_scores(cand, [f[1] for f in feasible])
         return [
             (side, edge_index, new_stop, tinc, float(score))
             for (side, edge_index, new_stop, tinc), score in zip(feasible, scores)

@@ -60,22 +60,6 @@ class _StrategyBase:
         o_d, o_l = self.exact_components(edge_ids)
         return self.combine(o_d, o_l)
 
-    # -- batched extension scoring ---------------------------------------
-    def extension_score(self, cand: Candidate, edge_index: int) -> float:
-        raise NotImplementedError
-
-    def extension_scores(
-        self, cand: Candidate, edge_indices: Sequence[int]
-    ) -> np.ndarray:
-        """Score ``cand`` extended by each edge; the reference fallback.
-
-        Subclasses override with a genuinely vectorized path; this loop
-        is what ``batch_eval=False`` pins the kernel against.
-        """
-        return np.array(
-            [self.extension_score(cand, e) for e in edge_indices], dtype=float
-        )
-
 
 class OnlineStrategy(_StrategyBase):
     """ETA: per-candidate Lanczos connectivity estimation (Section 5)."""
@@ -110,8 +94,8 @@ class OnlineStrategy(_StrategyBase):
         one block call per neighbor. Extensions whose paths add no new
         vertex pair skip the estimator, exactly as
         :meth:`exact_components` does, so ``estimator.evaluations``
-        advances by exactly the number the sequential path would have
-        charged.
+        advances by exactly the number a loop of :meth:`extension_score`
+        calls would have charged.
         """
         indices = list(edge_indices)
         if not indices:

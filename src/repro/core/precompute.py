@@ -45,17 +45,13 @@ changes; v2: sketch-mode deltas honor ``config.n_probes``, so v1 sketch
 artifacts no longer match what ``precompute()`` would produce)."""
 
 PRECOMPUTE_CONFIG_FIELDS = (
-    "tau_km", "increment_mode", "batch_eval", "n_probes", "lanczos_steps",
-    "seed",
+    "tau_km", "increment_mode", "n_probes", "lanczos_steps", "seed",
 )
 """Config fields that determine the expensive artifacts.
 
 Everything else (``k``, ``w``, ``seed_count``, traversal knobs, ...)
 only affects the cheap derived state that :func:`rebind` re-creates, so
-saved artifacts are shared across those sweeps. ``batch_eval`` is keyed
-because the batched and sequential increment paths agree only to
-floating-point roundoff, not bitwise — sharing artifacts across the
-switch would make the differential oracle compare a mixture.
+saved artifacts are shared across those sweeps.
 """
 
 REBIND_CONFIG_FIELDS = ("k", "w")
@@ -270,16 +266,14 @@ def compute_edge_increments(
     mode: str = "exact",
     sketch_probes: int = 256,
     seed: int = 0,
-    batch: bool = False,
 ) -> np.ndarray:
     """``Delta(e)`` for every universe edge (zero for existing edges).
 
-    ``mode="exact"`` re-estimates ``lambda(G_r + e)`` per candidate edge
-    with common probes; ``mode="sketch"`` prices all edges from one
-    low-rank ``e^A`` sketch (first-order perturbation). ``batch=True``
-    runs the exact mode through the batched kernel (one shared Lanczos
-    recurrence per chunk of candidate edges) — same estimator, same
-    probes, agreeing with the sequential loop to floating-point roundoff.
+    ``mode="exact"`` estimates ``lambda(G_r + e)`` for every candidate
+    edge with common probes through the batched kernel (one shared
+    Lanczos recurrence over all candidate variants); ``mode="sketch"``
+    prices all edges from one low-rank ``e^A`` sketch (first-order
+    perturbation).
     """
     deltas = np.zeros(len(universe), dtype=float)
     new_indices = [e.index for e in universe.edges if e.is_new]
@@ -292,19 +286,10 @@ def compute_edge_increments(
         return deltas
     if mode != "exact":
         raise ValueError(f"unknown increment mode {mode!r}")
-    if batch:
-        groups = [
-            builder.novel_pairs([universe.edge(i).pair]) for i in new_indices
-        ]
-        values = estimator.estimate_batch(builder.base(), groups) - lambda_base
-        # Adding an edge never decreases natural connectivity; clamp noise.
-        deltas[new_indices] = np.maximum(values, 0.0)
-        return deltas
-    for i in new_indices:
-        pair = universe.edge(i).pair
-        value = estimator.estimate(builder.extended([pair])) - lambda_base
-        # Adding an edge never decreases natural connectivity; clamp noise.
-        deltas[i] = max(value, 0.0)
+    groups = [builder.novel_pairs([universe.edge(i).pair]) for i in new_indices]
+    values = estimator.estimate_batch(builder.base(), groups) - lambda_base
+    # Adding an edge never decreases natural connectivity; clamp noise.
+    deltas[new_indices] = np.maximum(values, 0.0)
     return deltas
 
 
@@ -387,7 +372,6 @@ def precompute(dataset: Dataset, config: PlannerConfig) -> Precomputation:
             mode=config.increment_mode,
             sketch_probes=config.n_probes,
             seed=config.seed,
-            batch=config.batch_eval,
         )
         universe.set_deltas(deltas)
     timings["increments_s"] = t.elapsed

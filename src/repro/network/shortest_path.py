@@ -119,8 +119,10 @@ def bidirectional_dijkstra(adj, source: int, target: int) -> tuple[float, list[i
     """Point-to-point distance + vertex path via bidirectional search.
 
     Roughly halves the searched ball compared with :func:`dijkstra` for
-    far-apart endpoints; used by the transfer-convenience evaluation which
-    issues many point queries.
+    far-apart endpoints. Nothing in the package calls it: the
+    transfer-convenience evaluation (:mod:`repro.eval.metrics`) runs
+    one-to-many :func:`dijkstra` searches instead. Kept as a public,
+    tested utility.
     """
     n = len(adj)
     if not (0 <= source < n and 0 <= target < n):
@@ -180,9 +182,11 @@ def shortest_path_tree_demand(
     """Accumulate per-edge trip counts along one shortest-path tree.
 
     ``destination_counts`` maps destination vertices to trip multiplicity.
-    Returns ``{edge_id: count}`` for every edge on a used tree path —
-    the workhorse of trajectory demand aggregation, grouping trips by
-    origin so each unique origin costs one Dijkstra.
+    Returns ``{edge_id: count}`` for every edge on a used tree path, so
+    trips grouped by origin cost one Dijkstra per unique origin. Nothing
+    in the package calls it: trajectory demand aggregation
+    (:mod:`repro.trajectory.demand`) walks its own shortest-path tree.
+    Kept as a public, tested utility.
     """
     dist, pred_v, pred_e = dijkstra(adj, source, targets=list(destination_counts))
     counts: dict[int, float] = {}

@@ -48,6 +48,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     timeout = 60  # a stalled HTTP peer is dropped, same idea as frames
+    # _send_json writes headers and body separately; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature

@@ -92,9 +92,8 @@ class NaturalConnectivityEstimator:
         estimate to floating-point roundoff. Each pair group must contain
         only *novel* edges (see ``AdjacencyBuilder.novel_pairs``); an
         empty group evaluates the base matrix. Counts ``len(pair_groups)``
-        evaluations — one per variant, exactly like the sequential path —
-        so :attr:`evaluations` stays comparable across the
-        ``batch_eval`` switch. An empty batch returns an empty array and
+        evaluations — one per variant, exactly like a loop of
+        :meth:`trace_exp` calls. An empty batch returns an empty array and
         counts nothing.
         """
         groups = list(pair_groups)
@@ -116,16 +115,6 @@ class NaturalConnectivityEstimator:
         if traces.size == 0:
             return traces
         return np.log(traces / self.n)
-
-    def increment(self, A_base, A_extended, base_value: float | None = None) -> float:
-        """Estimate ``lambda(A_extended) - lambda(A_base)`` with common probes.
-
-        ``base_value`` may carry a cached ``estimate(A_base)`` to avoid
-        re-evaluating the (unchanging) base graph.
-        """
-        if base_value is None:
-            base_value = self.estimate(A_base)
-        return self.estimate(A_extended) - base_value
 
     def _check(self, A) -> None:
         if A.shape != (self.n, self.n):

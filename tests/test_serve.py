@@ -9,6 +9,7 @@ quantiles and pool counters.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -29,6 +30,7 @@ from repro.serve import (
     http_token,
     precomputation_nbytes,
 )
+from repro.serve.http import _Handler
 from repro.serve.pool import TIER_COMPUTED, TIER_DISK, TIER_POOL
 from repro.sweep.cache import PrecomputationCache
 from repro.sweep.remote import (
@@ -393,6 +395,21 @@ class TestPlanServer:
         with served_connection(server) as sock:
             assert plan_once(sock, make_scenario())["op"] == "plan_result"
 
+    def test_unknown_config_field_is_refused(self, server):
+        # A retired PlannerConfig field is the natural stale-client case.
+        with served_connection(server) as sock:
+            send_frame(sock, {
+                "op": "plan", "protocol": PROTOCOL_VERSION,
+                "scenario": scenario_spec(make_scenario()),
+                "base_config": {**asdict(CONFIG), "batch_eval": True},
+            })
+            error = recv_frame(sock)
+        assert error["op"] == "error"
+        assert error["error"].startswith("bad plan request")
+        assert "batch_eval" in error["error"]
+        with served_connection(server) as sock:
+            assert plan_once(sock, make_scenario())["op"] == "plan_result"
+
     def test_wrong_protocol_is_rejected(self, server):
         with served_connection(server) as sock:
             send_frame(sock, {
@@ -499,6 +516,37 @@ class TestHTTPDoor:
             http_json(f"{http_door}/plan", body={"scenario": None},
                       token=http_token(SECRET))
         assert err.value.code == 400
+
+    def test_unknown_config_field_is_400(self, http_door):
+        body = {"scenario": scenario_spec(make_scenario()),
+                "base_config": {**asdict(CONFIG), "batch_eval": True}}
+        with pytest.raises(urllib.error.HTTPError) as err:
+            http_json(f"{http_door}/plan", body=body, token=http_token(SECRET))
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert error.startswith("bad plan request")
+        assert "batch_eval" in error
+        body["base_config"] = asdict(CONFIG)
+        status, reply = http_json(
+            f"{http_door}/plan", body=body, token=http_token(SECRET)
+        )
+        assert status == 200 and reply["record"]["results_wire"]
+
+    def test_replies_are_not_held_back_by_nagle(self, http_door, monkeypatch):
+        # Headers and body go out as two writes; with Nagle on, a
+        # keep-alive peer's delayed ACK would stall the second one.
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        http_json(f"{http_door}/stats", token=http_token(SECRET))
+        assert nodelay and all(nodelay)
 
     def test_unknown_endpoint_is_404(self, http_door):
         with pytest.raises(urllib.error.HTTPError) as err:
