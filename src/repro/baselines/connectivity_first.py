@@ -21,7 +21,7 @@ from repro.baselines.tsp import nearest_neighbor_order, two_opt
 from repro.core.precompute import Precomputation
 from repro.network.geometry import euclidean
 from repro.network.paths import count_turns
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import ShortestPathTree
 from repro.utils.errors import PlanningError
 
 
@@ -133,15 +133,15 @@ def connectivity_first_route(
             entry, exit_ = ru, rv
         else:
             # Enter through whichever endpoint is road-closer to the exit.
-            d_u, path_u = _road_distance(adj, prev_exit, ru)
-            d_v, path_v = _road_distance(adj, prev_exit, rv)
-            if d_u <= d_v:
-                entry, exit_, conn, conn_path = ru, rv, d_u, path_u
+            tree = ShortestPathTree(adj, prev_exit, targets=(ru, rv))
+            if tree.dist(ru) <= tree.dist(rv):
+                entry, exit_ = ru, rv
             else:
-                entry, exit_, conn, conn_path = rv, ru, d_v, path_v
-            if math.isinf(conn):
+                entry, exit_ = rv, ru
+            conn_path = tree.vertices(entry)
+            if conn_path is None:
                 continue  # disconnected fragment: skip (counts against smoothness)
-            connector_km += conn
+            connector_km += tree.dist(entry)
             polyline.extend(conn_path[1:] if polyline else conn_path)
         if not polyline:
             polyline.append(entry)
@@ -175,10 +175,3 @@ def _road_of(pre: Precomputation):
             "repro.core.precompute.precompute()"
         )
     return pre.road
-
-
-def _road_distance(adj, source: int, target: int) -> tuple[float, list[int]]:
-    dist, pred_v, _ = dijkstra(adj, source, targets=[target])
-    if math.isinf(dist[target]):
-        return math.inf, []
-    return dist[target], reconstruct_vertex_path(pred_v, source, target)

@@ -38,7 +38,7 @@ from repro.core.candidate import (
     turn_delta,
 )
 from repro.core.config import EXPANSION_ALL, PlannerConfig
-from repro.core.objective import OnlineStrategy, _StrategyBase
+from repro.core.objective import OnlineStrategy, PrecomputedStrategy
 from repro.core.precompute import Precomputation
 from repro.core.result import PlannedRoute, PlanResult
 from repro.utils.timing import Timer
@@ -54,7 +54,12 @@ class ExpansionEngine:
     :mod:`repro.core.constraints`.
     """
 
-    def __init__(self, pre: Precomputation, strategy: _StrategyBase, constraints=None):
+    def __init__(
+        self,
+        pre: Precomputation,
+        strategy: OnlineStrategy | PrecomputedStrategy,
+        constraints=None,
+    ):
         self.pre = pre
         self.config: PlannerConfig = pre.config
         self.universe = pre.universe

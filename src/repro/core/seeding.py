@@ -10,11 +10,9 @@ demand of their recorded road paths.
 
 from __future__ import annotations
 
-import math
-
 from repro.data.datasets import Dataset
 from repro.network.geometry import GridIndex, euclidean
-from repro.network.shortest_path import dijkstra, reconstruct_edge_path
+from repro.network.shortest_path import ShortestPathTree
 from repro.core.edges import EdgeUniverse, PlanEdge
 from repro.utils.errors import DataError
 from repro.utils.validation import require_positive
@@ -82,14 +80,15 @@ def build_edge_universe(dataset: Dataset, tau_km: float) -> EdgeUniverse:
     demand_w = road.demand_weights()
     for origin, group in by_origin.items():
         targets = {transit.stop_road_vertex(v) for _, v in group}
-        dist, pred_v, pred_e = dijkstra(adj, origin, targets=targets)
+        tree = ShortestPathTree(adj, origin, targets=targets)
         for u, v in group:
             rv = transit.stop_road_vertex(v)
-            if math.isinf(dist[rv]):
+            path = tree.edges(rv)
+            if path is None:
                 continue  # disconnected in the road network: not plannable
-            road_path = tuple(reconstruct_edge_path(pred_v, pred_e, origin, rv))
+            road_path = tuple(path)
             demand = float(sum(demand_w[re] for re in road_path))
-            length = dist[rv] if road_path else euclidean(
+            length = tree.dist(rv) if road_path else euclidean(
                 transit.stop_xy(u), transit.stop_xy(v)
             )
             edges.append(

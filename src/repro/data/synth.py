@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.network.geometry import euclidean, nearest_vertices
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import ShortestPathTree
 from repro.network.transit import TransitNetwork
 from repro.trajectory.trips import TripRecord
 from repro.utils.errors import DataError
@@ -208,8 +208,7 @@ def generate_transit_network(
     transit = TransitNetwork()
     stop_of_vertex: dict[int, int] = {}
 
-    base_adj = road.adjacency_lists("length")
-    n_edges = road.n_edges
+    base_lengths = road.edge_lengths()
 
     built = 0
     attempts = 0
@@ -224,13 +223,9 @@ def generate_transit_network(
         if va == vb or euclidean(coords[va], coords[vb]) < cfg.route_min_km:
             continue
         # Perturb edge weights per route so parallel routes diverge.
-        mult = rng.uniform(0.75, 1.3, n_edges)
-        adj = [
-            [(nbr, eid, wgt * mult[eid]) for nbr, eid, wgt in nbrs]
-            for nbrs in base_adj
-        ]
-        dist, pred_v, _ = dijkstra(adj, va, targets=[vb])
-        path = reconstruct_vertex_path(pred_v, va, vb)
+        mult = rng.uniform(0.75, 1.3, road.n_edges)
+        adj = road.adjacency_lists(base_lengths * mult)
+        path = ShortestPathTree(adj, va, targets=[vb]).vertices(vb) or []
         if len(path) < cfg.route_stop_hops + 1:
             continue
         stop_vertices = path[:: cfg.route_stop_hops]
@@ -323,15 +318,12 @@ def generate_trips(
     adj = road.adjacency_lists("length")
     trips: list[TripRecord] = []
     for origin, dests in by_origin.items():
-        dist, pred_v, pred_e = dijkstra(adj, origin, targets=set(dests))
+        tree = ShortestPathTree(adj, origin, targets=set(dests))
         for dest in dests:
-            d = dist[dest]
+            d = tree.dist(dest)
             if math.isinf(d) or d <= 0:
                 continue
-            edges = _walk_edges(pred_v, pred_e, origin, dest)
-            if edges is None:
-                continue
-            t = sum(road.edge_travel_time(e) for e in edges)
+            t = sum(road.edge_travel_time(e) for e in tree.edges(dest))
             if rng.random() < cfg.trip_reject_fraction:
                 eps = rng.uniform(0.15, 0.5) * rng.choice([-1.0, 1.0])
             else:
@@ -345,18 +337,3 @@ def generate_trips(
                 )
             )
     return trips
-
-
-def _walk_edges(
-    pred_v: list[int], pred_e: list[int], origin: int, dest: int
-) -> "list[int] | None":
-    edges: list[int] = []
-    v = dest
-    while v != origin:
-        eid = pred_e[v]
-        if eid == -1:
-            return None
-        edges.append(eid)
-        v = pred_v[v]
-    edges.reverse()
-    return edges

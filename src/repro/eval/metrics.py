@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.precompute import Precomputation
 from repro.core.result import PlannedRoute
 from repro.eval.transfers import TransferRouter
-from repro.network.shortest_path import dijkstra
+from repro.network.shortest_path import ShortestPathTree
 from repro.network.transit import TransitNetwork
 from repro.utils.errors import ValidationError
 
@@ -103,12 +103,13 @@ def evaluate_planned_route(
     for a, b in pairs:
         by_origin.setdefault(a, []).append(b)
     for a, dests in by_origin.items():
-        old_dist, _, _ = dijkstra(old_adj, a, targets=set(dests))
-        new_dist, _, _ = dijkstra(new_adj, a, targets=set(dests))
+        old_tree = ShortestPathTree(old_adj, a, targets=set(dests))
+        new_tree = ShortestPathTree(new_adj, a, targets=set(dests))
         for b in dests:
-            if math.isinf(old_dist[b]) or math.isinf(new_dist[b]) or new_dist[b] <= 0:
+            old_d, new_d = old_tree.dist(b), new_tree.dist(b)
+            if math.isinf(old_d) or math.isinf(new_d) or new_d <= 0:
                 continue
-            ratios.append(old_dist[b] / new_dist[b])
+            ratios.append(old_d / new_d)
     distance_ratio = sum(ratios) / len(ratios) if ratios else 1.0
 
     # --- crossed routes ----------------------------------------------

@@ -21,10 +21,9 @@ from repro.network.geometry import (
 from repro.network.paths import count_turns, is_simple_stop_sequence, polyline_length
 from repro.network.road import RoadNetwork
 from repro.network.shortest_path import (
+    ShortestPathTree,
     bidirectional_dijkstra,
     dijkstra,
-    reconstruct_edge_path,
-    reconstruct_vertex_path,
     shortest_path,
 )
 from repro.network.transit import Route, TransitNetwork
@@ -44,10 +43,9 @@ __all__ = [
     "is_simple_stop_sequence",
     "polyline_length",
     "RoadNetwork",
+    "ShortestPathTree",
     "bidirectional_dijkstra",
     "dijkstra",
-    "reconstruct_edge_path",
-    "reconstruct_vertex_path",
     "shortest_path",
     "Route",
     "TransitNetwork",

@@ -191,13 +191,23 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # Algorithms support
     # ------------------------------------------------------------------
-    def adjacency_lists(self, weight: str = "length") -> list[list[tuple[int, int, float]]]:
+    def adjacency_lists(
+        self, weight: "str | np.ndarray" = "length"
+    ) -> list[list[tuple[int, int, float]]]:
         """Adjacency as ``[(neighbor, edge_id, weight), ...]`` per vertex.
 
-        ``weight`` is ``"length"``, ``"time"``, or ``"hops"``; the result
-        feeds :mod:`repro.network.shortest_path`.
+        ``weight`` is ``"length"``, ``"time"``, ``"hops"``, or an array of
+        one weight per edge; the result feeds
+        :mod:`repro.network.shortest_path`.
         """
-        if weight == "length":
+        if not isinstance(weight, str):
+            per_edge = np.asarray(weight, dtype=float)
+            if per_edge.shape != (self.n_edges,):
+                raise GraphError(
+                    f"need one weight per edge ({self.n_edges}), got shape {per_edge.shape}"
+                )
+            values = per_edge.tolist()
+        elif weight == "length":
             values = self._lengths
         elif weight == "time":
             values = self._times

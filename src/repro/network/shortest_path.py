@@ -1,11 +1,16 @@
-"""Shortest-path engines over adjacency lists.
+"""Shortest paths over adjacency lists.
 
-All functions operate on the ``adjacency_lists`` representation produced
+Everything operates on the ``adjacency_lists`` representation produced
 by :meth:`repro.network.road.RoadNetwork.adjacency_lists` (and the
 transit-network equivalent): ``adj[v]`` is a list of
 ``(neighbor, edge_id, weight)`` triples. Keeping this flat structure lets
 one adjacency build serve thousands of Dijkstra runs during demand
 aggregation and candidate-edge pre-computation.
+
+Callers outside :mod:`repro.network` read distances and paths through
+:class:`ShortestPathTree` (or :func:`shortest_path` for one pair); the
+engine, :func:`dijkstra`, and its predecessor arrays stay behind it, so
+swapping the engine edits this module alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ def dijkstra(
     targets: "Iterable[int] | None" = None,
     cutoff: float = math.inf,
 ) -> tuple[list[float], list[int], list[int]]:
-    """Single-source Dijkstra.
+    """Single-source Dijkstra: the engine behind :class:`ShortestPathTree`.
 
     Returns ``(dist, pred_vertex, pred_edge)`` arrays where unreachable
     vertices have ``dist = inf`` and predecessors ``-1``. If ``targets``
@@ -59,43 +64,59 @@ def dijkstra(
     return dist, pred_v, pred_e
 
 
-def reconstruct_vertex_path(pred_v: list[int], source: int, target: int) -> list[int]:
-    """Vertex sequence from ``source`` to ``target`` out of a predecessor array.
+class ShortestPathTree:
+    """One :func:`dijkstra` search from ``source``, read as distances and paths.
 
-    Returns ``[]`` when ``target`` is unreachable.
+    This is the package's interface to shortest paths: callers ask for
+    ``dist(t)``, ``edges(t)`` and ``vertices(t)`` and never see the
+    engine's predecessor arrays. With ``targets`` the search stops once
+    every target is settled, so only targets (or every vertex when
+    ``targets`` is ``None``) are guaranteed final. ``cutoff`` leaves
+    vertices farther than it unreachable.
     """
-    if target == source:
-        return [source]
-    if pred_v[target] == -1:
-        return []
-    path = [target]
-    v = target
-    while v != source:
-        v = pred_v[v]
-        if v == -1:
-            return []
-        path.append(v)
-    path.reverse()
-    return path
 
+    __slots__ = ("source", "_dist", "_pred_v", "_pred_e")
 
-def reconstruct_edge_path(
-    pred_v: list[int], pred_e: list[int], source: int, target: int
-) -> list[int]:
-    """Edge-id sequence from ``source`` to ``target``; ``[]`` if unreachable."""
-    if target == source:
-        return []
-    if pred_v[target] == -1:
-        return []
-    edges = []
-    v = target
-    while v != source:
-        edges.append(pred_e[v])
-        v = pred_v[v]
-        if v == -1:
-            return []
-    edges.reverse()
-    return edges
+    def __init__(
+        self,
+        adj,
+        source: int,
+        targets: "Iterable[int] | None" = None,
+        cutoff: float = math.inf,
+    ) -> None:
+        self.source = source
+        self._dist, self._pred_v, self._pred_e = dijkstra(adj, source, targets, cutoff)
+
+    def dist(self, target: int) -> float:
+        """Path length to ``target``; ``inf`` when unreachable."""
+        return self._dist[target]
+
+    def edges(self, target: int) -> "list[int] | None":
+        """Edge ids from the source to ``target``, in travel order.
+
+        ``[]`` for the source itself, ``None`` when ``target`` is unreachable.
+        """
+        if math.isinf(self._dist[target]):
+            return None
+        out = []
+        v = target
+        while v != self.source:
+            out.append(self._pred_e[v])
+            v = self._pred_v[v]
+        out.reverse()
+        return out
+
+    def vertices(self, target: int) -> "list[int] | None":
+        """Vertices from the source to ``target`` inclusive; ``None`` if unreachable."""
+        if math.isinf(self._dist[target]):
+            return None
+        out = [target]
+        v = target
+        while v != self.source:
+            v = self._pred_v[v]
+            out.append(v)
+        out.reverse()
+        return out
 
 
 def shortest_path(
@@ -105,14 +126,11 @@ def shortest_path(
 
     Unreachable targets yield ``(inf, [], [])``.
     """
-    dist, pred_v, pred_e = dijkstra(adj, source, targets=[target])
-    if math.isinf(dist[target]):
+    tree = ShortestPathTree(adj, source, targets=[target])
+    vertices = tree.vertices(target)
+    if vertices is None:
         return math.inf, [], []
-    return (
-        dist[target],
-        reconstruct_vertex_path(pred_v, source, target),
-        reconstruct_edge_path(pred_v, pred_e, source, target),
-    )
+    return tree.dist(target), vertices, tree.edges(target)
 
 
 def bidirectional_dijkstra(adj, source: int, target: int) -> tuple[float, list[int]]:
@@ -185,19 +203,13 @@ def shortest_path_tree_demand(
     Returns ``{edge_id: count}`` for every edge on a used tree path, so
     trips grouped by origin cost one Dijkstra per unique origin. Nothing
     in the package calls it: trajectory demand aggregation
-    (:mod:`repro.trajectory.demand`) walks its own shortest-path tree.
-    Kept as a public, tested utility.
+    (:mod:`repro.trajectory.demand`) reads :class:`ShortestPathTree`
+    paths of tolerance-accepted trips instead. Kept as a public, tested
+    utility.
     """
-    dist, pred_v, pred_e = dijkstra(adj, source, targets=list(destination_counts))
+    tree = ShortestPathTree(adj, source, targets=list(destination_counts))
     counts: dict[int, float] = {}
     for dest, mult in destination_counts.items():
-        if math.isinf(dist[dest]):
-            continue
-        v = dest
-        while v != source:
-            eid = pred_e[v]
-            if eid == -1:
-                break
+        for eid in tree.edges(dest) or ():
             counts[eid] = counts.get(eid, 0.0) + mult
-            v = pred_v[v]
     return counts

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.network.geometry import GridIndex, euclidean
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import dijkstra, reconstruct_vertex_path
+from repro.network.shortest_path import ShortestPathTree
 from repro.trajectory.trajectory import Trajectory
 from repro.utils.errors import ValidationError
 
@@ -77,17 +77,17 @@ def map_match(
         prev_cands = candidate_sets[layer - 1]
         cur_cands = candidate_sets[layer]
         # One Dijkstra per previous candidate, restricted to current targets.
-        road_dists = []
-        for pv in prev_cands:
-            dist, _, _ = dijkstra(adj, pv, targets=cur_cands,
-                                  cutoff=10.0 * straight + 5.0 * search_radius)
-            road_dists.append(dist)
+        trees = [
+            ShortestPathTree(adj, pv, targets=cur_cands,
+                             cutoff=10.0 * straight + 5.0 * search_radius)
+            for pv in prev_cands
+        ]
         new_costs = [math.inf] * len(cur_cands)
         new_back = [-1] * len(cur_cands)
         for ci, cv in enumerate(cur_cands):
             emission = euclidean(road.vertex_xy(cv), pts[layer])
             for pi in range(len(prev_cands)):
-                d = road_dists[pi][cv]
+                d = trees[pi].dist(cv)
                 if math.isinf(d):
                     continue
                 detour = abs(d - straight)
@@ -114,9 +114,8 @@ def map_match(
     for u, v in zip(matched, matched[1:]):
         if u == v:
             continue
-        dist, pred_v, _ = dijkstra(adj, u, targets=[v])
-        if math.isinf(dist[v]):
+        seg = ShortestPathTree(adj, u, targets=[v]).vertices(v)
+        if seg is None:
             raise ValidationError(f"matched vertices {u} and {v} are disconnected")
-        seg = reconstruct_vertex_path(pred_v, u, v)
         full.extend(seg[1:])
     return Trajectory.from_vertex_path(road, full)

@@ -11,14 +11,11 @@ poor proxy for the route actually driven and the trip is discarded.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.network.road import RoadNetwork
-from repro.network.shortest_path import (
-    dijkstra,
-    reconstruct_edge_path,
-    reconstruct_vertex_path,
-)
+from repro.network.shortest_path import ShortestPathTree
 from repro.trajectory.trajectory import Trajectory
 from repro.utils.errors import ValidationError
 
@@ -48,16 +45,20 @@ def _within(measured: float, recorded: float, tolerance: float) -> bool:
     return abs(measured - recorded) <= tolerance * recorded
 
 
-def trips_to_trajectories(
+def accepted_trip_paths(
     road: RoadNetwork,
     trips: list[TripRecord],
     tolerance: float = DEFAULT_TOLERANCE,
     check_time: bool = True,
-) -> list[Trajectory]:
-    """Convert trips to trajectories via tolerance-checked shortest paths.
+) -> Iterator[tuple[TripRecord, ShortestPathTree, list[int]]]:
+    """The trip-acceptance rule: yield ``(trip, tree, edges)`` per accepted trip.
 
     Trips are grouped by pickup vertex so each distinct origin costs one
-    Dijkstra run. Unreachable or out-of-tolerance trips are skipped.
+    Dijkstra run; ``tree`` is that origin's length-shortest-path tree and
+    ``edges`` the road edges from pickup to drop-off. A trip is accepted
+    when its path length and, with ``check_time``, the travel time along
+    that same path are within ``tolerance`` of the recorded values; a
+    recorded 0 accepts only a measured 0. Unreachable trips are skipped.
     """
     if not 0 <= tolerance:
         raise ValidationError(f"tolerance must be >= 0, got {tolerance}")
@@ -66,26 +67,36 @@ def trips_to_trajectories(
         by_origin.setdefault(trip.pickup_vertex, []).append(trip)
 
     adj_len = road.adjacency_lists("length")
-    out: list[Trajectory] = []
     for origin, group in by_origin.items():
-        targets = {t.dropoff_vertex for t in group}
-        dist, pred_v, pred_e = dijkstra(adj_len, origin, targets=targets)
+        tree = ShortestPathTree(adj_len, origin, targets={t.dropoff_vertex for t in group})
         for trip in group:
-            d = dist[trip.dropoff_vertex]
-            if math.isinf(d):
+            d = tree.dist(trip.dropoff_vertex)
+            if math.isinf(d) or not _within(d, trip.distance_km, tolerance):
                 continue
-            if not _within(d, trip.distance_km, tolerance):
-                continue
-            vertices = reconstruct_vertex_path(pred_v, origin, trip.dropoff_vertex)
-            edges = reconstruct_edge_path(pred_v, pred_e, origin, trip.dropoff_vertex)
-            if not vertices:
-                continue
+            edges = tree.edges(trip.dropoff_vertex)
             if check_time:
                 travel_time = sum(road.edge_travel_time(e) for e in edges)
                 if not _within(travel_time, trip.duration_min, tolerance):
                     continue
-            times = [0.0]
-            for e in edges:
-                times.append(times[-1] + road.edge_travel_time(e))
-            out.append(Trajectory(tuple(vertices), tuple(edges), tuple(times)))
+            yield trip, tree, edges
+
+
+def trips_to_trajectories(
+    road: RoadNetwork,
+    trips: list[TripRecord],
+    tolerance: float = DEFAULT_TOLERANCE,
+    check_time: bool = True,
+) -> list[Trajectory]:
+    """Convert trips to trajectories via tolerance-checked shortest paths.
+
+    Acceptance follows :func:`accepted_trip_paths`; rejected trips are
+    skipped.
+    """
+    out: list[Trajectory] = []
+    for trip, tree, edges in accepted_trip_paths(road, trips, tolerance, check_time):
+        times = [0.0]
+        for e in edges:
+            times.append(times[-1] + road.edge_travel_time(e))
+        vertices = tree.vertices(trip.dropoff_vertex)
+        out.append(Trajectory(tuple(vertices), tuple(edges), tuple(times)))
     return out

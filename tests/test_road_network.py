@@ -110,6 +110,16 @@ class TestAdjacencyListsAndExport:
         with pytest.raises(GraphError):
             square.adjacency_lists("bogus")
 
+    def test_per_edge_weight_array(self, square):
+        scale = np.arange(1, square.n_edges + 1, dtype=float)
+        adj = square.adjacency_lists(square.edge_lengths() * scale)
+        for nbrs in adj:
+            for _nbr, eid, w in nbrs:
+                assert w == square.edge_length(eid) * scale[eid]
+                assert type(w) is float
+        with pytest.raises(GraphError):
+            square.adjacency_lists(scale[:-1])
+
     def test_to_networkx(self, square):
         g = square.to_networkx()
         assert g.number_of_nodes() == 4

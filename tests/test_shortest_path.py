@@ -1,4 +1,4 @@
-"""Unit tests for the Dijkstra engines, cross-checked against networkx."""
+"""Unit tests for the Dijkstra engine and ShortestPathTree, cross-checked against networkx."""
 
 import math
 
@@ -8,10 +8,9 @@ import pytest
 
 from repro.data.synth import SynthConfig, generate_road_network
 from repro.network.shortest_path import (
+    ShortestPathTree,
     bidirectional_dijkstra,
     dijkstra,
-    reconstruct_edge_path,
-    reconstruct_vertex_path,
     shortest_path,
     shortest_path_tree_demand,
 )
@@ -63,29 +62,77 @@ class TestDijkstra:
 
 
 class TestReconstruction:
-    def test_vertex_path_endpoints(self, road, adj):
+    """Paths read off a :class:`ShortestPathTree`, networkx as the oracle."""
+
+    def test_vertex_path_endpoints(self, road, adj, nx_graph):
         target = road.n_vertices - 1
-        dist, pred_v, pred_e = dijkstra(adj, 0)
-        path = reconstruct_vertex_path(pred_v, 0, target)
+        tree = ShortestPathTree(adj, 0)
+        path = tree.vertices(target)
         assert path[0] == 0 and path[-1] == target
-        edges = reconstruct_edge_path(pred_v, pred_e, 0, target)
+        edges = tree.edges(target)
         assert len(edges) == len(path) - 1
         # Edge path length equals the reported distance.
         total = sum(road.edge_length(e) for e in edges)
-        assert total == pytest.approx(dist[target])
+        assert total == pytest.approx(tree.dist(target))
+        want = nx.dijkstra_path_length(nx_graph, 0, target, weight="length")
+        assert tree.dist(target) == pytest.approx(want)
+
+    def test_edges_run_origin_to_destination(self, road, adj):
+        tree = ShortestPathTree(adj, 0)
+        for target in range(1, road.n_vertices):
+            vertices, edges = tree.vertices(target), tree.edges(target)
+            for i, eid in enumerate(edges):
+                assert set(road.edge_endpoints(eid)) == {vertices[i], vertices[i + 1]}
+
+    def test_every_distance_matches_networkx(self, road, adj, nx_graph):
+        tree = ShortestPathTree(adj, 4)
+        want = nx.single_source_dijkstra_path_length(nx_graph, 4, weight="length")
+        for v in range(road.n_vertices):
+            assert tree.dist(v) == pytest.approx(want[v])
+            assert len(tree.vertices(v)) == len(tree.edges(v)) + 1
+
+    def test_targets_are_final(self, road, adj):
+        full = ShortestPathTree(adj, 0)
+        targets = [7, road.n_vertices - 1]
+        early = ShortestPathTree(adj, 0, targets=targets)
+        for t in targets:
+            assert early.dist(t) == full.dist(t)
+            assert early.edges(t) == full.edges(t)
+            assert early.vertices(t) == full.vertices(t)
 
     def test_path_to_self(self, adj):
-        _, pred_v, pred_e = dijkstra(adj, 2)
-        assert reconstruct_vertex_path(pred_v, 2, 2) == [2]
-        assert reconstruct_edge_path(pred_v, pred_e, 2, 2) == []
+        tree = ShortestPathTree(adj, 2)
+        assert tree.dist(2) == 0.0
+        assert tree.vertices(2) == [2]
+        assert tree.edges(2) == []
+
+    def test_unreachable_gives_none(self):
+        # Two isolated vertices.
+        tree = ShortestPathTree([[], []], 0)
+        assert math.isinf(tree.dist(1))
+        assert tree.vertices(1) is None
+        assert tree.edges(1) is None
 
     def test_unreachable_gives_empty(self):
-        # Two isolated vertices.
-        adj2 = [[], []]
-        dist, pred_v, pred_e = dijkstra(adj2, 0)
-        assert math.isinf(dist[1])
-        assert reconstruct_vertex_path(pred_v, 0, 1) == []
-        assert reconstruct_edge_path(pred_v, pred_e, 0, 1) == []
+        # shortest_path keeps its (inf, [], []) contract for one pair.
+        assert shortest_path([[], []], 0, 1) == (math.inf, [], [])
+
+    def test_cutoff_leaves_far_vertices_unreachable(self, road, adj, nx_graph):
+        want = nx.single_source_dijkstra_path_length(nx_graph, 0, weight="length")
+        tree = ShortestPathTree(adj, 0, cutoff=0.3)
+        near = [v for v in range(road.n_vertices) if want[v] <= 0.3]
+        far = [v for v in range(road.n_vertices) if want[v] > 0.3]
+        assert near and far
+        for v in near:
+            assert tree.dist(v) == pytest.approx(want[v])
+            assert tree.vertices(v)[-1] == v
+        for v in far:
+            assert math.isinf(tree.dist(v))
+            assert tree.vertices(v) is None and tree.edges(v) is None
+
+    def test_bad_source_rejected(self, adj):
+        with pytest.raises(GraphError):
+            ShortestPathTree(adj, len(adj))
 
 
 class TestPointToPoint:

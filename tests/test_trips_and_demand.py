@@ -120,3 +120,29 @@ class TestDemandAggregation:
         assert demand_of_road_edges(road, [eid]) == pytest.approx(
             3.0 * road.edge_length(eid)
         )
+
+
+class TestZeroRecordedValues:
+    """A recorded 0 accepts only a measured 0, in both consumers of the rule."""
+
+    def test_zero_recorded_trip_rejected_by_both(self, grid_road):
+        road = grid_road.copy()
+        trip = TripRecord(0, 8, 0.0, 0.0)
+        assert trips_to_trajectories(road, [trip]) == []
+        assert aggregate_trip_demand(road, [trip]) == 0
+        assert road.demand_counts().sum() == 0.0
+
+    def test_zero_recorded_duration_rejected_by_both(self, grid_road):
+        road = grid_road.copy()
+        exact = exact_trip(grid_road, 0, 8)
+        trip = TripRecord(0, 8, exact.distance_km, 0.0)
+        assert trips_to_trajectories(road, [trip]) == []
+        assert aggregate_trip_demand(road, [trip]) == 0
+
+    def test_zero_length_trip_accepted_by_both(self, grid_road):
+        road = grid_road.copy()
+        trip = TripRecord(4, 4, 0.0, 0.0)
+        trajs = trips_to_trajectories(road, [trip])
+        assert len(trajs) == 1 and trajs[0].vertices == (4,)
+        assert aggregate_trip_demand(road, [trip]) == 1
+        assert road.demand_counts().sum() == 0.0
